@@ -38,14 +38,17 @@ loadtest:
 loadtest-cluster:
 	$(GO) test -race ./internal/cluster -count=1
 
-# Differential-fuzz smoke tier: FUZZTIME of FuzzBatchVsScalar, the
+# Differential-fuzz smoke tier: FUZZTIME each of FuzzBatchVsScalar, the
 # bit-identity oracle between the columnar batch engine and the retained
-# scalar reference, starting from the committed seed corpus
-# (internal/sim/testdata/fuzz/FuzzBatchVsScalar). New crashers land in that
-# directory; CI uploads them as artifacts so a red run ships its repro.
+# scalar reference, and FuzzWriteJSON, the byte-identity oracle between the
+# streaming grid encoder and encoding/json, each starting from its
+# committed seed corpus (internal/sim/testdata/fuzz/FuzzBatchVsScalar,
+# internal/trace/testdata/fuzz/FuzzWriteJSON). New crashers land in those
+# directories; CI uploads them as artifacts so a red run ships its repro.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzBatchVsScalar$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime $(FUZZTIME)
 
 # Collection-engine speedup record: serial vs parallel fine-space sweeps.
 bench:

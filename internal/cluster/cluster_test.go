@@ -317,6 +317,59 @@ func TestCachedOnlyProbeNeverCollects(t *testing.T) {
 	}
 }
 
+// assertContentLength checks that a reply announced its length instead of
+// being chunked: a client of a chunked reply cannot see its end until the
+// serving handler returns.
+func assertContentLength(t *testing.T, what string, resp *http.Response, body []byte) {
+	t.Helper()
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+		t.Errorf("%s: Content-Length %d, transfer encoding %v; want %d, none",
+			what, resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+}
+
+// TestGridRepliesCarryContentLength: proxied grids in both spaces, and a
+// warm owner's cached-only answer, are sent with a Content-Length and
+// the owner's exact bytes.
+func TestGridRepliesCarryContentLength(t *testing.T) {
+	h, err := NewTestHarness(HarnessConfig{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	const bench = "gobmk"
+	for _, space := range []string{"coarse", "fine"} {
+		ownerIdx := h.NodeFor(bench, space)
+		proxyIdx := (ownerIdx + 1) % 3
+		req := serve.GridRequest{Benchmark: bench, Space: space}
+		resp, data := post(t, h.URL(proxyIdx), "/v1/grid", req, nil)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderNode) != nodeID(ownerIdx) {
+			t.Fatalf("%s: status %d from %q, want 200 from the owner", space, resp.StatusCode, resp.Header.Get(HeaderNode))
+		}
+		assertContentLength(t, space+" proxied", resp, data)
+		g, ok := h.Node(ownerIdx).Server().Lab().PeekGrid(bench, space)
+		if !ok {
+			t.Fatalf("%s: owner did not cache the grid", space)
+		}
+		var want bytes.Buffer
+		if err := g.WriteJSON(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want.Bytes()) {
+			t.Errorf("%s: proxied body differs from the owner's grid", space)
+		}
+
+		resp, data = post(t, h.URL(ownerIdx), "/v1/grid", req, map[string]string{HeaderForwarded: "node9", HeaderCachedOnly: "1"})
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(data, want.Bytes()) {
+			t.Errorf("%s: warm cached-only probe status %d with a different body", space, resp.StatusCode)
+		}
+		if space == "coarse" {
+			assertContentLength(t, "cached-only coarse", resp, data)
+		}
+	}
+}
+
 // TestWarmReplicaStaleFallback is the owner-saturation acceptance case: a
 // replica holding a seeded copy answers for a shedding owner, marked
 // stale; a key with no warm copy relays the shed untouched.
@@ -385,6 +438,7 @@ func TestWarmReplicaStaleFallback(t *testing.T) {
 	if _, err := trace.ReadJSON(bytes.NewReader(data)); err != nil {
 		t.Errorf("fallback grid invalid: %v", err)
 	}
+	assertContentLength(t, "stale fallback", resp, data)
 	if got := metric(t, h.URL(proxyIdx), "mcdvfsd_cluster_stale_fallbacks_total"); got != 1 {
 		t.Errorf("stale_fallbacks_total = %d, want 1", got)
 	}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -234,6 +235,16 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// writeBody writes a complete response body with its Content-Length.
+// Without the length net/http chunks the response, and the client cannot
+// see its end until the handler returns — in relay, that would include
+// seedReplica's decode.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body) // best effort: the body is already final
+}
+
 // serveLocal dispatches to the embedded daemon, stamping which node
 // served.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request) {
@@ -311,13 +322,42 @@ func normalizeSpace(name string) (string, bool) {
 // refuses — the endpoint a proxy probes for warm copies, so it must never
 // collect.
 func (n *Node) serveCachedOnly(w http.ResponseWriter, bench, space string) {
-	g, ok := n.srv.Lab().PeekGrid(bench, space)
-	if !ok {
+	if !n.serveCachedGrid(w, bench, space, false) {
 		writeError(w, http.StatusNotFound, "grid not cached on this node")
-		return
 	}
-	w.Header().Set(HeaderNode, n.self)
-	writeJSON(w, http.StatusOK, g)
+}
+
+// serveCachedGrid answers with this node's completed cached grid, marked
+// stale if asked, and never collects: a coarse grid as the Lab's encoded
+// bytes, a fine grid streamed. It reports false, writing nothing, when no
+// grid is cached.
+func (n *Node) serveCachedGrid(w http.ResponseWriter, bench, space string, stale bool) bool {
+	lab := n.srv.Lab()
+	var (
+		body []byte
+		g    *trace.Grid
+		ok   bool
+	)
+	if space == "coarse" {
+		body, ok = lab.PeekGridJSON(bench)
+	} else {
+		g, ok = lab.PeekGrid(bench, space)
+	}
+	if !ok {
+		return false
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set(HeaderNode, n.self)
+	if stale {
+		h.Set(HeaderStale, "maybe")
+	}
+	if g == nil {
+		writeBody(w, http.StatusOK, body)
+	} else if err := g.WriteJSON(w); errors.Is(err, trace.ErrNonFinite) {
+		writeError(w, http.StatusInternalServerError, err.Error()) // refused before any byte was written
+	}
+	return true
 }
 
 // proxy forwards a routable request to its owner and supervises the
@@ -400,9 +440,20 @@ type proxyResponse struct {
 	body   []byte
 }
 
-// forward sends one request to a peer with the loop-guard header, bounded
-// by ProxyTimeout, and reads the full response.
+// forward sends one request to a peer and reads the full response.
 func (n *Node) forward(ctx context.Context, id, path, contentType string, body []byte) (*proxyResponse, error) {
+	return n.post(ctx, id, path, contentType, body, false)
+}
+
+// maxPresize bounds how much of a peer's announced Content-Length is
+// allocated before reading; a fine grid is about 15 MB.
+const maxPresize = 64 << 20
+
+// post sends one request to a peer with the loop-guard header, and the
+// cached-only header if asked, bounded by ProxyTimeout, and reads the full
+// response — into one buffer of the announced length, so a proxied grid
+// is not copied again and again as the buffer grows.
+func (n *Node) post(ctx context.Context, id, path, contentType string, body []byte, cachedOnly bool) (*proxyResponse, error) {
 	fctx, cancel := context.WithTimeout(ctx, n.cfg.ProxyTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodPost, n.peerURL(id)+path, bytes.NewReader(body))
@@ -413,17 +464,23 @@ func (n *Node) forward(ctx context.Context, id, path, contentType string, body [
 		req.Header.Set("Content-Type", contentType)
 	}
 	req.Header.Set(HeaderForwarded, n.self)
+	if cachedOnly {
+		req.Header.Set(HeaderCachedOnly, "1")
+	}
 	resp, err := n.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	//lint:allow errflow read-only response body; a close error after a full read carries no data loss
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	var data bytes.Buffer
+	if size := resp.ContentLength; size > 0 && size <= maxPresize {
+		data.Grow(int(size) + bytes.MinRead) // MinRead: room for the read that sees EOF
+	}
+	if _, err := data.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
-	return &proxyResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+	return &proxyResponse{status: resp.StatusCode, header: resp.Header, body: data.Bytes()}, nil
 }
 
 // relay writes a peer response through to the client, then — for
@@ -435,16 +492,17 @@ func (n *Node) relay(w http.ResponseWriter, resp *proxyResponse, bench, space st
 			w.Header().Set(h, v)
 		}
 	}
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body) // best effort: the peer response is already final
+	writeBody(w, resp.status, resp.body)
 	if seed && resp.status == http.StatusOK {
 		n.seedReplica(bench, space, resp.body)
 	}
 }
 
 // seedReplica stores a proxied grid locally when this node is in the
-// key's designated replica set. Decoding happens after the client already
-// has its response, so replication never adds latency to the hot path.
+// key's designated replica set. It decodes after the whole response,
+// Content-Length included, is written, so the client can finish reading
+// before the decode starts; the decode still holds the handler, and with
+// it the connection, until it ends.
 func (n *Node) seedReplica(bench, space string, body []byte) {
 	if !n.isReplica(n.gridKey(bench, space)) {
 		return
@@ -477,11 +535,8 @@ func (n *Node) isReplica(key string) bool {
 // replicas in ring order — marked X-MCDVFS-Stale: maybe. Reports whether
 // a response was written.
 func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, key, bench, space string) bool {
-	if g, ok := n.srv.Lab().PeekGrid(bench, space); ok {
+	if n.serveCachedGrid(w, bench, space, true) {
 		n.met.staleFallbacks.Add(1)
-		w.Header().Set(HeaderNode, n.self)
-		w.Header().Set(HeaderStale, "maybe")
-		writeJSON(w, http.StatusOK, g)
 		return true
 	}
 	for _, id := range n.ring.Replicas(key, n.ring.Len())[1:] {
@@ -499,8 +554,7 @@ func (n *Node) serveStaleFallback(ctx context.Context, w http.ResponseWriter, ke
 			}
 		}
 		w.Header().Set(HeaderStale, "maybe")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(resp.body) // best effort: the replica response is already final
+		writeBody(w, http.StatusOK, resp.body)
 		return true
 	}
 	return false
@@ -513,26 +567,7 @@ func (n *Node) forwardCachedOnly(ctx context.Context, id, bench, space string) (
 	if err != nil {
 		return nil, err
 	}
-	fctx, cancel := context.WithTimeout(ctx, n.cfg.ProxyTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodPost, n.peerURL(id)+"/v1/grid", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderForwarded, n.self)
-	req.Header.Set(HeaderCachedOnly, "1")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow errflow read-only response body; a close error after a full read carries no data loss
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return &proxyResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+	return n.post(ctx, id, "/v1/grid", "application/json", body, true)
 }
 
 // awaitOwnerFlight implements the proxy side of peer-aware singleflight:

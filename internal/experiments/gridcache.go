@@ -3,9 +3,11 @@ package experiments
 // The grid cache behind Lab: a sharded, mutex-guarded map with
 // singleflight semantics (N concurrent requests for one benchmark trigger
 // exactly one collection) and an optional persistent JSON layer keyed by
-// (benchmark, space, platform-config hash).
+// (benchmark, space, platform-config hash). A cache entry can also carry
+// its grid's JSON encoding, made once on first request (Lab.GridJSON).
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -44,6 +46,25 @@ type gridEntry struct {
 	done chan struct{} // closed when g and err are final
 	g    *trace.Grid
 	err  error
+
+	// The grid's JSON, made by the first encoded call and dropped with
+	// the entry. Only the coarse cache's entries are ever encoded.
+	encode  sync.Once
+	body    []byte
+	bodyErr error
+}
+
+// encoded returns the completed entry's grid as trace.Grid.WriteJSON
+// writes it, encoding on the first call; concurrent first callers wait
+// for that one encode and share its bytes, which callers must not modify.
+func (e *gridEntry) encoded() ([]byte, error) {
+	e.encode.Do(func() {
+		var buf bytes.Buffer
+		if e.bodyErr = e.g.WriteJSON(&buf); e.bodyErr == nil {
+			e.body = bytes.Clone(buf.Bytes()) // without the buffer's growth slack
+		}
+	})
+	return e.body, e.bodyErr
 }
 
 func newGridCache() *gridCache {
@@ -60,7 +81,7 @@ func (c *gridCache) shard(key string) *gridShard {
 	return &c.shards[h.Sum32()%gridShardCount]
 }
 
-// do returns the grid for key, invoking collect at most once per key no
+// do returns the entry for key, invoking collect at most once per key no
 // matter how many goroutines ask concurrently. Late callers join the
 // in-flight collection and wait on it; a waiter whose ctx is cancelled
 // abandons the flight immediately while the owner keeps collecting, so
@@ -70,27 +91,30 @@ func (c *gridCache) shard(key string) *gridShard {
 // before publishing the error: no partial or poisoned grid stays cached,
 // and the next request simply retries.
 //
-// The joined result reports whether the caller found an existing entry —
-// either a completed grid or an in-flight collection it waited on — as
-// opposed to owning the collect call itself. Cache observers use it to
-// count coalesced requests.
-func (c *gridCache) do(ctx context.Context, key string, collect func() (*trace.Grid, error)) (g *trace.Grid, joined bool, err error) {
+// On success the entry's grid is final. The joined result reports whether
+// the caller found an existing entry — either a completed grid or an
+// in-flight collection it waited on — as opposed to owning the collect
+// call itself. Cache observers use it to count coalesced requests.
+func (c *gridCache) do(ctx context.Context, key string, collect func() (*trace.Grid, error)) (e *gridEntry, joined bool, err error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
 		sh.mu.Unlock()
 		select {
 		case <-e.done:
-			return e.g, true, e.err
+			if e.err != nil {
+				return nil, true, e.err
+			}
+			return e, true, nil
 		case <-ctx.Done():
 			return nil, true, ctx.Err()
 		}
 	}
-	e := &gridEntry{done: make(chan struct{})}
+	e = &gridEntry{done: make(chan struct{})}
 	sh.entries[key] = e
 	sh.mu.Unlock()
 
-	g, err = collect()
+	g, err := collect()
 	if err != nil {
 		sh.mu.Lock()
 		// The entry may already be gone if forget ran mid-flight; delete is
@@ -100,14 +124,17 @@ func (c *gridCache) do(ctx context.Context, key string, collect func() (*trace.G
 	}
 	e.g, e.err = g, err
 	close(e.done)
-	return g, false, err
+	if err != nil {
+		return nil, false, err
+	}
+	return e, false, nil
 }
 
-// peek returns key's completed grid, if any, without joining or starting
+// peek returns key's completed entry, if any, without joining or starting
 // a flight. An in-flight collection reads as absent: peek never blocks,
 // which is what lets a cluster replica answer "do you have a warm copy"
 // without being dragged into a collection.
-func (c *gridCache) peek(key string) (*trace.Grid, bool) {
+func (c *gridCache) peek(key string) (*gridEntry, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
@@ -120,7 +147,7 @@ func (c *gridCache) peek(key string) (*trace.Grid, bool) {
 		if e.err != nil {
 			return nil, false
 		}
-		return e.g, true
+		return e, true
 	default:
 		return nil, false
 	}

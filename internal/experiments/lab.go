@@ -170,7 +170,27 @@ func (l *Lab) Grid(bench string) (*trace.Grid, error) {
 // caller is cancelled, the flight is abandoned and no partial grid stays
 // cached.
 func (l *Lab) GridContext(ctx context.Context, bench string) (*trace.Grid, error) {
-	return l.gridFor(ctx, l.coarseGrids, bench, l.coarse, "coarse")
+	e, err := l.gridFor(ctx, l.coarseGrids, bench, l.coarse, "coarse")
+	if err != nil {
+		return nil, err
+	}
+	return e.g, nil
+}
+
+// GridJSON is GridContext for the coarse grid's JSON, byte-identical to
+// trace.Grid.WriteJSON: the /v1/grid response body. The bytes belong to
+// the cache entry the request resolved — encoded once, on the first
+// request, and dropped with the entry by Forget — so a cached grid is
+// served without re-encoding. Fine grids are never kept encoded: their
+// JSON is seven times the size, and keeping it too raised the daemon's
+// peak memory 1.7-fold (DESIGN.md §8). GridJSON emits the same GridEvents
+// as GridContext. The returned slice is shared and must not be modified.
+func (l *Lab) GridJSON(ctx context.Context, bench string) ([]byte, error) {
+	e, err := l.gridFor(ctx, l.coarseGrids, bench, l.coarse, "coarse")
+	if err != nil {
+		return nil, err
+	}
+	return e.encoded()
 }
 
 // FineGrid returns the fine-step grid for a benchmark.
@@ -180,10 +200,16 @@ func (l *Lab) FineGrid(bench string) (*trace.Grid, error) {
 
 // FineGridContext is FineGrid with cancellation (see GridContext).
 func (l *Lab) FineGridContext(ctx context.Context, bench string) (*trace.Grid, error) {
-	return l.gridFor(ctx, l.fineGrids, bench, l.fine, "fine")
+	e, err := l.gridFor(ctx, l.fineGrids, bench, l.fine, "fine")
+	if err != nil {
+		return nil, err
+	}
+	return e.g, nil
 }
 
-func (l *Lab) gridFor(ctx context.Context, cache *gridCache, bench string, space *freq.Space, spaceName string) (*trace.Grid, error) {
+// gridFor resolves bench's cache entry in one space; on success the
+// entry's grid is final.
+func (l *Lab) gridFor(ctx context.Context, cache *gridCache, bench string, space *freq.Space, spaceName string) (*gridEntry, error) {
 	b, err := workload.ByName(bench)
 	if err != nil {
 		return nil, err
@@ -193,7 +219,7 @@ func (l *Lab) gridFor(ctx context.Context, cache *gridCache, bench string, space
 			l.observer(GridEvent{Benchmark: bench, Space: spaceName, Kind: kind})
 		}
 	}
-	g, joined, err := cache.do(ctx, bench, func() (*trace.Grid, error) {
+	e, joined, err := cache.do(ctx, bench, func() (*trace.Grid, error) {
 		if l.span != nil {
 			done := l.span(bench, spaceName)
 			defer done()
@@ -227,7 +253,7 @@ func (l *Lab) gridFor(ctx context.Context, cache *gridCache, bench string, space
 	if err == nil && joined {
 		emit(GridHit)
 	}
-	return g, err
+	return e, err
 }
 
 // spaceFor resolves a published space name. Only "coarse" and "fine"
@@ -267,7 +293,23 @@ func (l *Lab) PeekGrid(bench, spaceName string) (*trace.Grid, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return cache.peek(bench)
+	e, ok := cache.peek(bench)
+	if !ok {
+		return nil, false
+	}
+	return e.g, true
+}
+
+// PeekGridJSON is PeekGrid for the coarse grid's GridJSON bytes: the
+// completed cached entry's encoding (made now if no request has made it
+// yet), or false when nothing is cached or the grid cannot be encoded.
+func (l *Lab) PeekGridJSON(bench string) ([]byte, bool) {
+	e, ok := l.coarseGrids.peek(bench)
+	if !ok {
+		return nil, false
+	}
+	body, err := e.encoded()
+	return body, err == nil
 }
 
 // SeedGrid installs an externally obtained grid — typically replicated

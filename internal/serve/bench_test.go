@@ -2,8 +2,8 @@ package serve
 
 // Daemon benchmarks, captured as BENCH_serve.json by `make bench-serve`.
 // Three tiers of the request path: a memoized /v1/optimal answer (pure
-// cache hit), a cached /v1/grid (serialization of a kept grid), and a
-// forced recollection (the columnar engine behind admission control) — so
+// cache hit), a cached /v1/grid (one write of the grid's kept encoding),
+// and a forced recollection (the columnar engine behind admission control) — so
 // the record tracks both the serving overhead and the collection hot path
 // as seen through the daemon.
 
@@ -67,7 +67,8 @@ func BenchmarkServeOptimalMemoized(b *testing.B) {
 }
 
 // BenchmarkServeGridCached measures /v1/grid for an already-characterized
-// benchmark: Lab cache hit plus full grid serialization.
+// benchmark: a Lab cache hit answered with the coarse grid's JSON, encoded
+// once when first requested and written in one piece.
 func BenchmarkServeGridCached(b *testing.B) {
 	_, ts := newBenchServer(b)
 	body := marshal(b, GridRequest{Benchmark: "gobmk"})

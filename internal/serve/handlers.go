@@ -46,10 +46,37 @@ func decode(r *http.Request, dst any) error {
 	return nil
 }
 
+// writeJSON answers with v as json.Encoder would write it. v is encoded
+// before the status is committed, so a value that cannot be encoded
+// becomes a 500 rather than a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": err.Error()}) // a string map always encodes
+	}
+	writeBody(w, code, append(body, '\n'))
+}
+
+// writeBody answers with a complete JSON body in one Write. The
+// Content-Length lets the client finish reading without waiting for the
+// handler to return.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write means the client is gone; nothing is left to answer
+}
+
+// writeGrid streams g as a 200 response. WriteJSON refuses a non-finite
+// grid before writing anything, so that failure still becomes a 500; any
+// later error is the client's connection.
+func (s *Server) writeGrid(w http.ResponseWriter, g *trace.Grid) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := g.WriteJSON(w); errors.Is(err, trace.ErrNonFinite) {
+		s.fail(w, err)
+	}
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -88,7 +115,9 @@ func (s *Server) spaceByName(name string) (*freq.Space, string, error) {
 
 // GridRequest asks for a characterization grid: either a named built-in
 // benchmark (cached, coalesced) or an inline workload definition
-// (collected per request, never cached).
+// (collected per request, never cached). A cached coarse grid is answered
+// with the Lab's encoded bytes (Lab.GridJSON); every other grid is
+// streamed.
 type GridRequest struct {
 	Benchmark string          `json:"benchmark,omitempty"`
 	Space     string          `json:"space,omitempty"`
@@ -109,34 +138,22 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	var g *trace.Grid
 	switch {
 	case len(req.Workload) > 0 && req.Benchmark != "":
 		writeError(w, http.StatusBadRequest, "benchmark and workload are mutually exclusive")
-		return
 	case len(req.Workload) > 0:
 		b, err := workload.ReadJSON(bytes.NewReader(req.Workload))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		// Inline workloads bypass the Lab cache but not admission control:
-		// they are always a full collection, so they always take a slot.
-		release, err := s.pool.acquire(ctx)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		g, err = trace.CollectContext(ctx, s.lab.System(), b, space, trace.CollectOptions{
-			Workers:    s.cfg.CollectWorkers,
-			OnProgress: s.met.collectProgress,
-		})
-		release()
+		g, err := s.collectWorkload(ctx, b, space)
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
 		s.met.workloadCollects.Add(1)
+		s.writeGrid(w, g)
 	case req.Benchmark != "":
 		if _, err := workload.ByName(req.Benchmark); err != nil {
 			writeError(w, http.StatusNotFound, err.Error())
@@ -145,19 +162,39 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.met.gridRequests.Add(1)
 		s.touch(req.Benchmark)
 		if spaceName == "fine" {
-			g, err = s.lab.FineGridContext(ctx, req.Benchmark)
-		} else {
-			g, err = s.lab.GridContext(ctx, req.Benchmark)
+			g, err := s.lab.FineGridContext(ctx, req.Benchmark)
+			if err != nil {
+				s.fail(w, err)
+				return
+			}
+			s.writeGrid(w, g)
+			return
 		}
+		body, err := s.lab.GridJSON(ctx, req.Benchmark)
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
+		writeBody(w, http.StatusOK, body)
 	default:
 		writeError(w, http.StatusBadRequest, "missing benchmark or workload")
-		return
 	}
-	writeJSON(w, http.StatusOK, g)
+}
+
+// collectWorkload collects an inline workload's grid. Inline workloads
+// bypass the Lab cache but not admission control: they are always a full
+// collection, so they always take a slot, released however the
+// collection ends.
+func (s *Server) collectWorkload(ctx context.Context, b workload.Benchmark, space *freq.Space) (*trace.Grid, error) {
+	release, err := s.pool.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return trace.CollectContext(ctx, s.lab.System(), b, space, trace.CollectOptions{
+		Workers:    s.cfg.CollectWorkers,
+		OnProgress: s.met.collectProgress,
+	})
 }
 
 // OptimalRequest asks for the budget-constrained optimal schedule.

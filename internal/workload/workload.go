@@ -72,6 +72,12 @@ func (p Phase) Validate() error {
 	return nil
 }
 
+// MaxSamples caps a benchmark's total length. The longest built-in
+// benchmark has 200 samples; a fine grid of MaxSamples samples already
+// takes about 200 MB, so Validate refuses anything longer before Realize
+// allocates for it.
+const MaxSamples = 10_000
+
 // Benchmark is a named workload: a phase sequence optionally repeated.
 type Benchmark struct {
 	Name string
@@ -96,15 +102,24 @@ func (b Benchmark) Validate() error {
 	if len(b.Phases) == 0 {
 		return fmt.Errorf("workload: benchmark %q has no phases", b.Name)
 	}
+	per := 0 // samples per repetition, kept within MaxSamples so no product overflows
 	for _, p := range b.Phases {
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("benchmark %q: %w", b.Name, err)
 		}
+		if p.Samples > MaxSamples-per {
+			return fmt.Errorf("workload: benchmark %q exceeds %d samples", b.Name, MaxSamples)
+		}
+		per += p.Samples
+	}
+	if b.Repeat > MaxSamples/per {
+		return fmt.Errorf("workload: benchmark %q exceeds %d samples (%d per repetition × %d)", b.Name, MaxSamples, per, b.Repeat)
 	}
 	return nil
 }
 
-// NumSamples returns the benchmark's total length in samples.
+// NumSamples returns the benchmark's total length in samples; for a
+// benchmark that passes Validate it is at most MaxSamples.
 func (b Benchmark) NumSamples() int {
 	per := 0
 	for _, p := range b.Phases {

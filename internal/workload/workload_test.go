@@ -210,3 +210,29 @@ func TestValidateCatchesBadBenchmarks(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateCapsTotalSamples pins the length cap, including totals whose
+// int product overflows: repeat 2^62 of a 2-sample phase once wrapped
+// NumSamples negative and made Realize panic in makeslice.
+func TestValidateCapsTotalSamples(t *testing.T) {
+	phase := func(n int) Phase { return Phase{Name: "p", Samples: n, BaseCPI: 1, MLP: 1} }
+	bad := []Benchmark{
+		{Name: "overflow", Repeat: 1 << 62, Phases: []Phase{phase(2)}},
+		{Name: "wide", Repeat: 1, Phases: []Phase{phase(math.MaxInt), phase(math.MaxInt)}},
+		{Name: "long", Repeat: 1, Phases: []Phase{phase(MaxSamples + 1)}},
+		{Name: "repeated", Repeat: MaxSamples/3 + 1, Phases: []Phase{phase(1), phase(2)}},
+	}
+	for _, b := range bad {
+		if err := b.Validate(); err == nil {
+			t.Errorf("%s: %d repeats accepted", b.Name, b.Repeat)
+		}
+		if _, err := b.Realize(); err == nil {
+			t.Errorf("%s: realized", b.Name)
+		}
+	}
+	at := Benchmark{Name: "at-cap", Repeat: MaxSamples / 4, Phases: []Phase{phase(1), phase(3)}}
+	specs, err := at.Realize()
+	if err != nil || len(specs) != MaxSamples {
+		t.Errorf("a benchmark of exactly MaxSamples: %d specs, %v", len(specs), err)
+	}
+}
